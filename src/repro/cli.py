@@ -21,7 +21,7 @@ Durability::
     repro-car durable out/journal.jsonl           # journalled recovery
     repro-car durable out/journal.jsonl --crash-after 9   # ...then crash
     repro-car resume out/journal.jsonl            # resume from the journal
-    repro-car durable out/journal.jsonl --stream --window 32  # streaming
+    repro-car durable out/journal.jsonl --window 32 --progress
 
 Streaming hot path::
 
@@ -95,7 +95,7 @@ SUBCOMMANDS: dict[str, str] = {
     "report": "per-stage/per-rack bottleneck attribution for a trace",
     "export": "convert a trace to Chrome/Perfetto JSON or flamegraph stacks",
     "scrub": "corrupt chunks, then detect and heal them (integrity pass)",
-    "durable": "journalled (optionally streaming) recovery run",
+    "durable": "journalled, crash-resumable recovery run",
     "resume": "resume a crashed durable recovery from its journal",
     "stream": "streaming recovery throughput + peak-RSS measurement",
     "serve": "boot a live in-process cluster, fail a node, repair it",
@@ -221,20 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="chunks to silently corrupt before a 'scrub' pass (default 3)",
     )
     parser.add_argument(
-        "--stream",
-        action="store_true",
-        default=False,
-        help=(
-            "use the windowed streaming executor for 'durable'/'resume' "
-            "(O(window) coordinator memory, batched GF dispatch)"
-        ),
-    )
-    parser.add_argument(
         "--window",
         type=int,
         metavar="N",
         default=64,
-        help="stripes in flight at once on the streaming path (default 64)",
+        help="stripes decoded per batch by the executor (default 64)",
     )
     parser.add_argument(
         "--shm",
@@ -250,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         default=False,
         help=(
-            "print a live status line to stderr during 'stream' and "
-            "streaming 'durable'/'resume' runs (stripes/s, windows, "
+            "print a live status line to stderr during 'stream', "
+            "'durable' and 'resume' runs (stripes/s, windows, "
             "traffic, journal lag, ETA)"
         ),
     )
@@ -693,9 +684,8 @@ def _run_durable(args: argparse.Namespace) -> str:
         seed=args.seed if args.seed is not None else 0,
         num_stripes=args.stripes if args.stripes is not None else 12,
         crash_after_records=args.crash_after,
-        streaming=args.stream,
         window=args.window,
-        progress=_stderr_progress() if args.progress and args.stream else None,
+        progress=_stderr_progress() if args.progress else None,
     )
     return _render_durable(out, "fresh run")
 
@@ -705,8 +695,8 @@ def _run_resume(args: argparse.Namespace) -> str:
 
     out = resume_durable_recovery(
         args.path, crash_after_records=args.crash_after,
-        streaming=args.stream, window=args.window,
-        progress=_stderr_progress() if args.progress and args.stream else None,
+        window=args.window,
+        progress=_stderr_progress() if args.progress else None,
     )
     return _render_durable(out, "resumed")
 
@@ -743,9 +733,10 @@ def _run_stream(args: argparse.Namespace) -> str:
     affected = len(solution.solutions)
     plan = plan_recovery_streaming(state, event, solution)
     # Opt-in observability: --telemetry records trace + metrics +
-    # resource profile (and disables the telemetry-free fast path —
-    # that is the point); --progress renders a live stderr line either
-    # way.  Neither flag set keeps the hot path untouched.
+    # resource profile (and so runs every stripe through the ship
+    # step's observer cascade — that is the point); --progress renders
+    # a live stderr line either way.  Neither flag set leaves the ship
+    # step with nothing to observe.
     telemetry_dir = Path(args.telemetry) if args.telemetry else None
     tracer = registry = profiler = progress = None
     if telemetry_dir is not None:

@@ -28,10 +28,9 @@ import numpy as np
 
 from repro.cluster.state import ClusterState, FailureEvent
 from repro.durable.journal import JournalReplay, RecoveryJournal
-from repro.errors import ConfigurationError, JournalError
+from repro.errors import JournalError
 from repro.faults.backoff import BackoffPolicy
 from repro.faults.injector import FaultInjector
-from repro.faults.events import FaultLog
 from repro.faults.robust import RobustExecutionResult, RobustExecutor
 from repro.recovery.planner import plan_recovery
 from repro.recovery.solution import MultiStripeSolution
@@ -97,19 +96,13 @@ class RecoverySession:
         session_meta: extra keys merged into the journal's session
             header (e.g. config name and seed, so a later process can
             rebuild the identical state from the journal alone).
-        streaming: execute through the windowed streaming path
-            (:meth:`~repro.recovery.executor.PlanExecutor.execute_streaming`)
-            instead of the eager one.  Journal semantics are preserved —
-            intents precede commits stripe-by-stripe, so crash/resume
-            behaves identically — but helper-fault injection is a
-            per-stripe retry protocol the batched decode cannot host, so
-            ``streaming=True`` with an ``injector`` is refused.
-        window: stripes in flight at once on the streaming path.
+        window: stripes decoded per batch; the intents of the next
+            window are journalled before the current one ships.
         progress: optional
-            :class:`~repro.obs.progress.ProgressReporter` for streaming
-            sessions — heartbeats carry journal lag (intents without
+            :class:`~repro.obs.progress.ProgressReporter` — heartbeats
+            per shipped window carry journal lag (intents without
             commits), the crash-exposure window a durable run cares
-            about.  Ignored on the eager path.
+            about.
         profiler: optional
             :class:`~repro.obs.profile.ResourceSampler` bracketing each
             incarnation's live execution.
@@ -129,7 +122,6 @@ class RecoverySession:
         tracer=None,
         crash_after_records: int | None = None,
         session_meta: dict | None = None,
-        streaming: bool = False,
         window: int = 64,
         progress=None,
         profiler=None,
@@ -145,15 +137,9 @@ class RecoverySession:
         self.tracer = tracer
         self.crash_after_records = crash_after_records
         self.session_meta = dict(session_meta or {})
-        self.streaming = streaming
         self.window = window
         self.progress = progress
         self.profiler = profiler
-        if streaming and injector is not None:
-            raise ConfigurationError(
-                "streaming sessions cannot inject helper faults; use the "
-                "eager path (streaming=False) for fault-injection runs"
-            )
 
     # -- internals -------------------------------------------------------
 
@@ -187,44 +173,14 @@ class RecoverySession:
         self, journal: RecoveryJournal, solution: MultiStripeSolution
     ) -> RobustExecutionResult:
         try:
-            if self.streaming:
-                return self._execute_streaming(journal, solution)
             plan = plan_recovery(self.state, self.event, solution)
-            return self._executor(journal).run(self.event, solution, plan)
+            return self._executor(journal).run(
+                self.event, solution, plan,
+                window=self.window, progress=self.progress,
+            )
         finally:
             # On a crash the journal must still be a readable artifact.
             journal.close()
-
-    def _execute_streaming(
-        self, journal: RecoveryJournal, solution: MultiStripeSolution
-    ) -> RobustExecutionResult:
-        """Windowed execution with the same journal protocol.
-
-        The executor (integrity verification on, journal attached) ships
-        each stripe through the full checkpoint/commit sequence, so the
-        journal is record-for-record compatible with an eager session's
-        — resume cannot tell which path wrote it.
-        """
-        plan = plan_recovery(self.state, self.event, solution)
-        result = self._executor(journal).execute_streaming(
-            plan, solution, window=self.window, progress=self.progress
-        )
-        # Fault-free by construction (no injector): wrap in the shape
-        # _package consumes, with an empty fault record.
-        return RobustExecutionResult(
-            result=result,
-            log=FaultLog(),
-            dead_nodes=frozenset(),
-            replans=0,
-            degraded_to_direct=False,
-            rounds=1,
-            wasted_cross_rack_bytes=0,
-            wasted_intra_rack_bytes=0,
-            backoff_seconds=0.0,
-            stall_seconds=0.0,
-            final_solution=solution,
-            final_plan=plan,
-        )
 
     # -- public API ------------------------------------------------------
 

@@ -385,7 +385,6 @@ def run_durable_recovery(
     injector=None,
     backoff=None,
     crash_after_records: int | None = None,
-    streaming: bool = False,
     window: int = 64,
     progress=None,
 ):
@@ -414,7 +413,7 @@ def run_durable_recovery(
         state, event, _durable_strategy(strategy, seed), journal_path,
         injector=injector, backoff=backoff,
         crash_after_records=crash_after_records,
-        streaming=streaming, window=window, progress=progress,
+        window=window, progress=progress,
         session_meta={
             "config": config.name,
             "seed": seed,
@@ -429,7 +428,6 @@ def resume_durable_recovery(
     journal_path: str | Path,
     *,
     crash_after_records: int | None = None,
-    streaming: bool = False,
     window: int = 64,
     progress=None,
 ):
@@ -474,6 +472,6 @@ def resume_durable_recovery(
         _durable_strategy(header["strategy_label"], header["seed"]),
         journal_path,
         crash_after_records=crash_after_records,
-        streaming=streaming, window=window, progress=progress,
+        window=window, progress=progress,
     )
     return session.resume()

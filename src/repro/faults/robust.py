@@ -50,7 +50,12 @@ from repro.faults.timeline import FaultTimeline
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import NullTracer, Tracer
 from repro.recovery.balancer import GreedyLoadBalancer
-from repro.recovery.executor import ExecutionResult, PipelineStage, PlanExecutor
+from repro.recovery.executor import (
+    ExecutionResult,
+    PipelineStage,
+    PlanExecutor,
+    _Run,
+)
 from repro.recovery.planner import RecoveryPlan, plan_recovery
 from repro.recovery.selector import CarSelector
 from repro.recovery.solution import MultiStripeSolution, PerStripeSolution
@@ -386,8 +391,17 @@ class RobustExecutor(PlanExecutor):
         event: FailureEvent,
         solution: MultiStripeSolution,
         plan: RecoveryPlan | None = None,
+        *,
+        window: int = 64,
+        progress=None,
     ) -> RobustExecutionResult:
         """Execute ``solution`` to completion, surviving injected faults.
+
+        Each round runs the windowed pipeline
+        (:meth:`~repro.recovery.executor.PlanExecutor.execute_streaming`'s
+        path, decodes batched ``window`` stripes at a time) over the
+        stripes still pending, with the fault hooks observing every
+        ship step; ``progress`` gets a heartbeat per shipped window.
 
         Raises:
             RecoveryAbort: if recovery is impossible (fewer than ``k``
@@ -399,10 +413,17 @@ class RobustExecutor(PlanExecutor):
         self._log = log
         self._backoff_total = 0.0
         self._stall_total = 0.0
+        run = _Run(ExecutionResult(), progress=progress)
         try:
-            return self._run(event, solution, plan, log)
+            with self._profiling():
+                robust = self._run(event, solution, plan, log, run, window)
         finally:
             self._log = None
+        run.report(self.journal is not None, final=True)
+        return robust
+
+    def _observed(self) -> bool:
+        return self._log is not None or super()._observed()
 
     def _run(
         self,
@@ -410,8 +431,10 @@ class RobustExecutor(PlanExecutor):
         solution: MultiStripeSolution,
         plan: RecoveryPlan | None,
         log: FaultLog,
+        run: _Run,
+        window: int,
     ) -> RobustExecutionResult:
-        merged = ExecutionResult()
+        merged = run.result
         dead: set[int] = set()
         mode_direct = not solution.aggregated
         degraded = False
@@ -441,23 +464,22 @@ class RobustExecutor(PlanExecutor):
                     )
                 )
                 raise RecoveryAbort("round budget exhausted", log, dead)
-            crash: InjectedCrashError | None = None
-            for sol in current_sol.solutions:
-                if sol.stripe_id not in pending:
-                    continue
-                sp = current_plan.stripe_plan_for(sol.stripe_id)
-                scratch = ExecutionResult()
-                try:
-                    self.execute_stripe(current_plan, sp, sol, scratch)
-                except InjectedCrashError as exc:
-                    wasted_cross += scratch.cross_rack_bytes
-                    wasted_intra += scratch.intra_rack_bytes
-                    crash = exc
-                    break
-                merged.merge(scratch)
-                pending.discard(sol.stripe_id)
-            if crash is None:
+            # Every solution of the round is pending: the first round's
+            # are all of them, a re-plan's are exactly the pending ones.
+            # No decode runs ahead of shipping: a fault voids the rest of
+            # the round, so work done ahead would be thrown away.
+            try:
+                self._pipeline(
+                    run, current_plan, current_sol, window=window,
+                    pipelined=False,
+                )
+            except InjectedCrashError as exc:
+                crash = exc
+            else:
                 break
+            wasted_cross += self._in_flight.cross_rack_bytes
+            wasted_intra += self._in_flight.intra_rack_bytes
+            pending.difference_update(merged.per_stripe_ok)
             if crash.node == event.replacement_node:
                 self._record(
                     RecoveryAction(

@@ -24,11 +24,13 @@ temporaries).  :func:`matrix_apply` (the encode/decode kernel) and
 are thin wrappers over it.
 
 All product-table caches are bounded LRUs (:class:`repro.cache.BoundedCache`).
-The module-level scratch buffers make these kernels **not thread-safe**;
-use separate processes for parallelism (the experiment driver does).
+Scratch buffers are per thread, so kernel calls on different threads
+never share scratch space.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -71,17 +73,24 @@ def _count_kernel(kernel: str, nbytes: int) -> None:
 
 _LITTLE_ENDIAN = bool(np.little_endian)
 
-# Reusable scratch buffers, keyed by (dtype, slot); each holds the
-# largest size seen so far.  Bounded by a few chunk-sized arrays.
-_SCRATCH: dict[tuple[str, int], np.ndarray] = {}
+# Reusable scratch buffers, one pool per thread (kernels run
+# concurrently on the executor's decode thread, the service's repair
+# thread and its event loop), keyed by (dtype, slot); each holds the
+# largest size seen so far.  Bounded by a few chunk-sized arrays per
+# thread.
+_SCRATCH = threading.local()
 
 
 def _scratch(dtype: np.dtype, n: int, slot: int = 0) -> np.ndarray:
+    try:
+        pool = _SCRATCH.pool
+    except AttributeError:
+        pool = _SCRATCH.pool = {}
     key = (np.dtype(dtype).str, slot)
-    buf = _SCRATCH.get(key)
+    buf = pool.get(key)
     if buf is None or buf.size < n:
         buf = np.empty(n, dtype=dtype)
-        _SCRATCH[key] = buf
+        pool[key] = buf
     return buf[:n]
 
 

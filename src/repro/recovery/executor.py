@@ -10,15 +10,27 @@ every reconstructed chunk byte-for-byte against the
 It also returns the per-node compute and per-scope transfer byte
 counters that the timing model (:mod:`repro.sim`) consumes.
 
-Execution is organised stripe-by-stripe around named *pipeline stages*
-(:class:`PipelineStage`).  Before each stage the executor calls the
-:meth:`PlanExecutor._checkpoint` hook with the acting node's identity —
-a no-op here, but the fault-injection layer (:mod:`repro.faults`)
-overrides it to crash helpers, stall disks, or drop flows at exactly
-that point in the pipeline.
+There is one execution path.  Stripes are consumed in windows; each
+window is decoded in one batched pass (:mod:`repro.recovery.streaming`,
+inline, on a worker thread, or in worker processes) and then *shipped*
+stripe by stripe on the executor's thread, in plan order.  Shipping a
+stripe is :meth:`PlanExecutor._ship_stripe`, the one place its traffic
+and compute are accounted.  The per-stripe delta it returns is merged
+into the :class:`ExecutionResult` only after the stripe's
+``FINAL_COMBINE``, is the stripe's journal commit, and — when a fault
+aborts the stripe half-way — is the traffic the robust executor books
+as wasted.  Eager :meth:`~PlanExecutor.execute`, streaming, worker,
+fault-tolerant and durable runs are configurations of that path.
 
-Two orthogonal durability features (both off by default, so the
-fault-free fast path is unchanged):
+While a stripe ships, the executor walks the named *pipeline stages*
+(:class:`PipelineStage`) through its observers: the
+:meth:`PlanExecutor._checkpoint` hook (trace events, stage counters,
+journal stage records; the fault layer, :mod:`repro.faults`, extends it
+to crash helpers, stall disks, or drop flows at exactly that point) and
+:meth:`PlanExecutor._deliver` for every transferred buffer.  The cascade
+runs exactly when something is attached — a tracer, a metrics registry,
+a journal, ``verify_integrity=True``, or the robust executor's fault
+hooks; with nothing attached a stripe is only accounted.
 
 - ``verify_integrity=True`` routes every transferred buffer — raw
   helper chunks and partially decoded aggregates alike — through
@@ -26,20 +38,24 @@ fault-free fast path is unchanged):
   through the :meth:`_transmit` hook (where the fault layer can corrupt
   bytes in flight), and verified on receipt.  A mismatch invokes
   :meth:`_on_corrupt` — here a hard :class:`IntegrityError`, in the
-  robust executor a retransmit ladder — so no unverified byte is ever
-  fed to a decode.
+  robust executor a retransmit ladder.  Every shipped payload is
+  verified before its stripe commits, and a stripe whose delivery
+  escalates is never committed.
 - ``journal=`` makes execution crash-resumable: a
   :class:`~repro.durable.journal.RecoveryJournal` receives an intent
-  record before each stripe, stage records as cross-rack payloads ship
-  and decodes land, and a commit record (with the rebuilt bytes and the
-  stripe's traffic/compute deltas) once the stripe verifies.
+  record for every stripe of a window before the previous window
+  ships, stage records as cross-rack payloads ship and decodes land,
+  and a commit record (with the rebuilt bytes and the stripe's
+  traffic/compute delta) once the stripe verifies.  The record
+  sequence is the same for every window source and worker count.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -47,27 +63,19 @@ import numpy as np
 
 from repro.cluster.state import ClusterState
 from repro.durable.checksum import chunk_checksum
-from repro.erasure.repair import (
-    combine_partials,
-    execute_partial_decode,
-    split_repair_vector,
-)
 from repro.errors import IntegrityError, PlanError
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
-from repro.recovery.planner import (
-    RecoveryPlan,
-    StreamingRecoveryPlan,
-    StripePlan,
-)
-from repro.recovery.solution import MultiStripeSolution, PerStripeSolution
+from repro.recovery import streaming as _streaming
+from repro.recovery.planner import RecoveryPlan, StreamingRecoveryPlan
+from repro.recovery.solution import MultiStripeSolution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.durable.journal import RecoveryJournal
     from repro.obs.profile import ResourceSampler
     from repro.obs.progress import ProgressReporter
 
-__all__ = ["PipelineStage", "ExecutionResult", "PlanExecutor"]
+__all__ = ["PipelineStage", "ExecutionResult", "StripeDelta", "PlanExecutor"]
 
 
 class PipelineStage(str, enum.Enum):
@@ -103,6 +111,17 @@ _JOURNALED_STAGES = frozenset(
     }
 )
 
+_NULL_CONTEXT = nullcontext()
+
+
+@dataclass
+class StripeDelta:
+    """One stripe's traffic and compute, as its ship step accounted it."""
+
+    cross_rack_bytes: int = 0
+    intra_rack_bytes: int = 0
+    bytes_computed_by_node: dict[int, int] = field(default_factory=dict)
+
 
 @dataclass
 class ExecutionResult:
@@ -132,16 +151,43 @@ class ExecutionResult:
         """Total GF input bytes across all nodes."""
         return sum(self.bytes_computed_by_node.values())
 
-    def merge(self, other: "ExecutionResult") -> None:
-        """Fold another result (e.g. one stripe's) into this one."""
-        self.reconstructed.update(other.reconstructed)
-        self.per_stripe_ok.update(other.per_stripe_ok)
-        for node, nbytes in other.bytes_computed_by_node.items():
-            self.bytes_computed_by_node[node] = (
-                self.bytes_computed_by_node.get(node, 0) + nbytes
-            )
-        self.cross_rack_bytes += other.cross_rack_bytes
-        self.intra_rack_bytes += other.intra_rack_bytes
+    def add(self, delta: StripeDelta) -> None:
+        """Fold one stripe's traffic and compute into the totals."""
+        self.cross_rack_bytes += delta.cross_rack_bytes
+        self.intra_rack_bytes += delta.intra_rack_bytes
+        charge = self.bytes_computed_by_node
+        for node, nbytes in delta.bytes_computed_by_node.items():
+            charge[node] = charge.get(node, 0) + nbytes
+
+
+@dataclass
+class _Run:
+    """What one call accumulates across the windows (and robust rounds)
+    it ships: the result, where rebuilt chunks go, and progress."""
+
+    result: ExecutionResult
+    sink: object = None
+    progress: "ProgressReporter | None" = None
+    windows_done: int = 0
+    intents: int = 0
+
+    def report(self, journaled: bool, final: bool = False) -> None:
+        """One rate-limited heartbeat from the current result totals.
+
+        Journal lag is the crash-exposure window: intents written whose
+        commits have not landed yet.
+        """
+        if self.progress is None:
+            return
+        done = len(self.result.per_stripe_ok)
+        update = self.progress.finish if final else self.progress.update
+        update(
+            done,
+            windows_done=self.windows_done,
+            cross_rack_bytes=self.result.cross_rack_bytes,
+            intra_rack_bytes=self.result.intra_rack_bytes,
+            journal_lag=max(0, self.intents - done) if journaled else 0,
+        )
 
 
 class PlanExecutor:
@@ -162,39 +208,28 @@ class PlanExecutor:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.journal = journal
         self.verify_integrity = verify_integrity
-        # Optional background resource sampler bracketing execute /
-        # execute_streaming.  One ``is None`` check per call; stripes
-        # never see it.
+        # Optional background resource sampler bracketing each call.
+        # One ``is None`` check per call; stripes never see it.
         self.profiler = profiler
+        # The delta of the stripe being shipped.  After a fault escapes
+        # the ship step it holds exactly the traffic the aborted stripe
+        # consumed (the robust executor charges it as wasted).
+        self._in_flight = StripeDelta()
 
     def execute(
         self, plan: RecoveryPlan, solution: MultiStripeSolution
     ) -> ExecutionResult:
         """Execute and verify every stripe of the plan.
 
+        The windowed pipeline with no decode/ship overlap, every rebuilt
+        chunk collected in the result.
+
         Args:
             plan: the transfer/compute schedule.
             solution: the solution the plan was built from (supplies the
                 helper grouping for the repair-vector split).
         """
-        if self.profiler is not None:
-            with self.profiler:
-                return self._execute_eager(plan, solution)
-        return self._execute_eager(plan, solution)
-
-    def _execute_eager(
-        self, plan: RecoveryPlan, solution: MultiStripeSolution
-    ) -> ExecutionResult:
-        result = ExecutionResult()
-        # Indexed once: stripe_plan_for's linear scan is fine for a
-        # stripe or two but quadratic over a whole plan.
-        by_id = {sp.stripe_id: sp for sp in plan.stripe_plans}
-        for sol in solution.solutions:
-            sp = by_id.get(sol.stripe_id)
-            if sp is None:
-                raise PlanError(f"no stripe plan for stripe {sol.stripe_id}")
-            self.execute_stripe(plan, sp, sol, result)
-        return result
+        return self.execute_streaming(plan, solution, pipelined=False)
 
     def execute_streaming(
         self,
@@ -211,10 +246,6 @@ class PlanExecutor:
     ) -> ExecutionResult:
         """Execute a plan in bounded-memory stripe windows.
 
-        Functionally identical to :meth:`execute` — byte-identical
-        reconstructions, identical traffic/compute accounting, same
-        journal intent/commit protocol — but organised for scale:
-
         - stripes are consumed ``window`` at a time from a lazy
           iterator, so coordinator memory is O(window) rather than
           O(stripes) (pair with a
@@ -223,181 +254,57 @@ class PlanExecutor:
         - each window's GF decodes are batched by repair signature
           (one kernel call per shared repair vector, see
           :mod:`repro.recovery.streaming`);
-        - with ``pipelined=True`` the next window's decodes (stage A,
-          a worker thread) overlap the previous window's shipping,
-          accounting, and journalling (stage B, this thread).  The
-          overlap is recorded as ``exec.stream.aggregate`` /
-          ``exec.stream.ship`` spans when tracing is on.  Because the
-          metrics registry is not thread-safe, an active registry
-          disables the overlap (stages still batch; they just run
-          sequentially).
+        - with ``pipelined=True`` the next window's decodes run on a
+          worker thread while this thread ships the previous window;
+          with ``workers > 1`` they run on that many processes.  Either
+          way this thread ships, verifies, and journals every stripe in
+          plan order, so the result and the journal's record sequence do
+          not depend on where the decodes ran.  The decode/ship split is
+          recorded as ``exec.stream.aggregate`` / ``exec.stream.ship``
+          spans when tracing is on.  Because the metrics registry is not
+          thread-safe, an active registry disables the thread overlap.
+
+        Every shipped payload passes the executor's observers (see the
+        module docstring): with ``verify_integrity`` each is verified
+        before its stripe commits, and a stripe whose delivery escalates
+        is never committed.
 
         Args:
             plan: an eager :class:`RecoveryPlan` (pass its
                 ``solution``) or a lazy :class:`StreamingRecoveryPlan`
                 (pass ``solution=None``).
-            window: stripes in flight at once (the memory bound).
+            window: stripes decoded per batch (the memory bound).
             batch: group same-signature stripes into one kernel call.
             pipelined: overlap decode and shipping across windows.
-            workers: fan windows over this many *processes* (fast path
-                only; chunk data is shared zero-copy via
-                :mod:`repro.io_shm` unless ``shm=False``).
+            workers: decode windows on this many *processes* (chunk
+                data is shared zero-copy via :mod:`repro.io_shm` unless
+                ``shm=False``).
             shm: force shared-memory (True) or pickled (False) chunk
                 transport for ``workers > 1``; None picks shared memory.
             sink: optional ``sink(stripe_id, rebuilt, ok)`` callback.
                 When given, rebuilt chunks are handed off instead of
                 accumulated in ``result.reconstructed`` — the O(stripes)
-                retention an eager result cannot avoid.
+                retention a collecting run cannot avoid.
             progress: optional
                 :class:`~repro.obs.progress.ProgressReporter`, updated
                 once per shipped window (stripes done, windows, traffic,
-                journal lag) and finished when the run completes.  The
-                per-window cost with no reporter is one ``is None``
-                check.
+                journal lag) and finished when the run completes.
 
         Raises:
             PlanError: bad window, or plan/solution mismatch.
-            ConfigurationError: ``workers > 1`` with a journal or
-                integrity verification attached.
         """
-        if self.profiler is not None:
-            with self.profiler:
-                return self._execute_streaming(
-                    plan, solution, window=window, batch=batch,
-                    pipelined=pipelined, workers=workers, shm=shm,
-                    sink=sink, progress=progress,
-                )
-        return self._execute_streaming(
-            plan, solution, window=window, batch=batch, pipelined=pipelined,
-            workers=workers, shm=shm, sink=sink, progress=progress,
-        )
-
-    def _execute_streaming(
-        self,
-        plan: RecoveryPlan | StreamingRecoveryPlan,
-        solution: MultiStripeSolution | None = None,
-        *,
-        window: int = 64,
-        batch: bool = True,
-        pipelined: bool = True,
-        workers: int | None = None,
-        shm: bool | None = None,
-        sink=None,
-        progress: "ProgressReporter | None" = None,
-    ) -> ExecutionResult:
-        from repro.recovery import streaming as _streaming
-
-        if window < 1:
-            raise PlanError(f"window must be >= 1, got {window}")
-        pairs = self._stream_pairs(plan, solution)
-        aggregated = plan.aggregated
-        repl = plan.replacement_node
-        if workers is not None and workers > 1:
-            return _streaming.execute_parallel(
-                self, pairs, aggregated, repl,
-                window=window, workers=workers, batch=batch, shm=shm,
-                sink=sink, progress=progress,
+        run = _Run(ExecutionResult(), sink=sink, progress=progress)
+        with self._profiling():
+            self._pipeline(
+                run, plan, solution, window=window, batch=batch,
+                pipelined=pipelined, workers=workers, shm=shm,
             )
-        # The quiet path — no tracing, no metrics, no journal, no
-        # integrity pipeline — ships each stripe with pure accounting:
-        # every checkpoint/delivery hook would be a no-op, so the
-        # per-stripe hook cascade is skipped wholesale.
-        fast = (
-            not self.tracer.enabled
-            and _metrics.CURRENT is None
-            and self.journal is None
-            and not self.verify_integrity
-            # A subclass that hooks checkpoints/delivery (fault
-            # injection) needs the full per-stripe cascade to fire.
-            and type(self)._checkpoint is PlanExecutor._checkpoint
-            and type(self)._deliver is PlanExecutor._deliver
-        )
-        overlap = pipelined and _metrics.CURRENT is None
-        result = ExecutionResult()
-        code, data = self.state.code, self.state.data
-        spans: list[tuple] = []
-        intents = 0
-        windows_done = 0
-        pool = ThreadPoolExecutor(max_workers=1) if overlap else None
-        try:
-            pending = None
-            for idx, win in enumerate(_streaming.windows(pairs, window)):
-                if self.journal is not None:
-                    # Intent for every stripe of the window up front:
-                    # on a crash mid-window the un-committed stripes are
-                    # exactly the journal's pending set.
-                    for sol, _sp in win:
-                        self.journal.stripe_intent(
-                            sol.stripe_id,
-                            aggregated=aggregated,
-                            lost_chunk=sol.lost_chunk,
-                        )
-                    intents += len(win)
-                if pool is not None:
-                    computed = pool.submit(
-                        _streaming.compute_window, code, data, win,
-                        aggregated, batch=batch, keep_partials=not fast,
-                    )
-                else:
-                    computed = _streaming.compute_window(
-                        code, data, win, aggregated,
-                        batch=batch, keep_partials=not fast,
-                    )
-                if pending is not None:
-                    self._ship_window(
-                        pending, result, aggregated, repl, fast, sink, spans
-                    )
-                    windows_done += 1
-                    if progress is not None:
-                        self._report_progress(
-                            progress, result, windows_done, intents
-                        )
-                pending = (idx, computed)
-            if pending is not None:
-                self._ship_window(
-                    pending, result, aggregated, repl, fast, sink, spans
-                )
-                windows_done += 1
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-        if progress is not None:
-            self._report_progress(
-                progress, result, windows_done, intents, final=True
-            )
-        if self.tracer.enabled:
-            for idx, n, a0, a1, b0, b1, cross, intra in spans:
-                self.tracer.emit_span(
-                    "exec.stream.aggregate", a0, a1, window=idx, stripes=n
-                )
-                self.tracer.emit_span(
-                    "exec.stream.ship", b0, b1, window=idx, stripes=n,
-                    cross_rack_bytes=cross, intra_rack_bytes=intra,
-                )
-        return result
+        run.report(self.journal is not None, final=True)
+        return run.result
 
-    def _report_progress(
-        self,
-        progress: "ProgressReporter",
-        result: ExecutionResult,
-        windows_done: int,
-        intents: int,
-        final: bool = False,
-    ) -> None:
-        """One rate-limited heartbeat from the current result totals.
-
-        Journal lag is the crash-exposure window: intents written whose
-        commits have not landed yet.
-        """
-        done = len(result.per_stripe_ok)
-        update = progress.finish if final else progress.update
-        update(
-            done,
-            windows_done=windows_done,
-            cross_rack_bytes=result.cross_rack_bytes,
-            intra_rack_bytes=result.intra_rack_bytes,
-            journal_lag=max(0, intents - done) if self.journal else 0,
-        )
+    def _profiling(self):
+        """The resource sampler bracketing one call, if any."""
+        return self.profiler if self.profiler is not None else _NULL_CONTEXT
 
     def _stream_pairs(
         self,
@@ -430,307 +337,218 @@ class PlanExecutor:
 
         return gen()
 
-    def _ship_window(
-        self, pending, result, aggregated, repl, fast, sink, spans
+    def _observed(self) -> bool:
+        """Whether anything watches the ship step's pipeline stages."""
+        return (
+            self.tracer.enabled
+            or _metrics.CURRENT is not None
+            or self.journal is not None
+            or self.verify_integrity
+        )
+
+    def _pipeline(
+        self,
+        run: _Run,
+        plan: RecoveryPlan | StreamingRecoveryPlan,
+        solution: MultiStripeSolution | None,
+        *,
+        window: int = 64,
+        batch: bool = True,
+        pipelined: bool = True,
+        workers: int | None = None,
+        shm: bool | None = None,
     ) -> None:
-        """Stage B: account, checkpoint, and commit one computed window."""
-        idx, computed = pending
-        if isinstance(computed, tuple):
-            outcomes, a0, a1 = computed
-        else:
-            outcomes, a0, a1 = computed.result()
+        """Decode the plan window by window and ship it into ``run``.
+
+        The intents of window *i* are journalled before window *i-1*
+        ships, whichever source computed them.  A fault escaping a ship
+        step leaves ``run`` holding every stripe committed before it.
+        """
+        if window < 1:
+            raise PlanError(f"window must be >= 1, got {window}")
+        pairs = self._stream_pairs(plan, solution)
+        aggregated, repl = plan.aggregated, plan.replacement_node
+        observed = self._observed()
+        source = _streaming.computed_windows(
+            self.state.code, self.state.data, pairs, window, aggregated,
+            batch=batch, keep_partials=observed,
+            overlap=pipelined and _metrics.CURRENT is None,
+            workers=workers, shm=shm,
+        )
+        with closing(source):
+            pending = None
+            for idx, (win, computed) in enumerate(source):
+                if self.journal is not None:
+                    for sol, _sp in win:
+                        self.journal.stripe_intent(
+                            sol.stripe_id,
+                            aggregated=aggregated,
+                            lost_chunk=sol.lost_chunk,
+                        )
+                    run.intents += len(win)
+                if pending is not None:
+                    self._ship_window(
+                        run, *pending, aggregated, repl, observed
+                    )
+                    run.report(self.journal is not None)
+                pending = (idx, win, computed)
+            if pending is not None:
+                self._ship_window(run, *pending, aggregated, repl, observed)
+
+    def _ship_window(
+        self, run: _Run, idx, win, computed, aggregated, repl, observed
+    ) -> None:
+        """Ship and commit one computed window, stripe by stripe."""
+        if isinstance(computed, Future):
+            computed = computed.result()
+        outcomes, a0, a1 = computed
+        result = run.result
         b0 = time.perf_counter()
         before_cross = result.cross_rack_bytes
         before_intra = result.intra_rack_bytes
-        for outcome in outcomes:
-            if fast:
-                self._ship_stripe_fast(outcome, result, aggregated, repl, sink)
-            else:
-                self._ship_stripe_full(outcome, result, aggregated, repl, sink)
-        if self.tracer.enabled:
-            spans.append(
-                (idx, len(outcomes), a0, a1, b0, time.perf_counter(),
-                 result.cross_rack_bytes - before_cross,
-                 result.intra_rack_bytes - before_intra)
+        mode = "aggregated" if aggregated else "direct"
+        for (sol, sp), outcome in zip(win, outcomes):
+            sid = sol.stripe_id
+            span = (
+                self.tracer.span("exec.stripe", stripe_id=sid,
+                                 aggregated=aggregated)
+                if observed
+                else _NULL_CONTEXT
             )
-
-    def _ship_stripe_fast(
-        self, outcome, result, aggregated, repl, sink
-    ) -> None:
-        """Quiet-path shipping: the eager path's accounting, no hooks.
-
-        Every hook skipped here (checkpoints, delivery, journal, span)
-        is a strict no-op on the quiet path, so the resulting
-        :class:`ExecutionResult` is identical to :meth:`execute`'s.
-        """
-        sol, sp = outcome.sol, outcome.sp
-        chunk_bytes = self.state.data.chunk_size
-        for t in sp.transfers:
-            if t.cross_rack:
-                result.cross_rack_bytes += chunk_bytes
-            else:
-                result.intra_rack_bytes += chunk_bytes
-        charge = result.bytes_computed_by_node
-        if aggregated:
-            for group in outcome.groups:
-                node = (
-                    repl
-                    if group.group_key == sol.failed_rack
-                    else sp.delegates[group.group_key]
+            with span:
+                delta = self._ship_stripe(
+                    sol, sp, outcome, aggregated, repl, observed
                 )
-                charge[node] = charge.get(node, 0) + group.size * chunk_bytes
-            charge[repl] = (
-                charge.get(repl, 0) + len(outcome.groups) * chunk_bytes
+                result.add(delta)
+                if run.sink is not None:
+                    run.sink(sid, outcome.rebuilt, outcome.ok)
+                else:
+                    result.reconstructed[sid] = outcome.rebuilt
+                result.per_stripe_ok[sid] = outcome.ok
+            if not observed:
+                continue
+            reg = _metrics.CURRENT
+            if reg is not None:
+                reg.counter("exec.stripes").inc(mode=mode)
+            if self.journal is not None:
+                self.journal.stripe_commit(
+                    sid,
+                    outcome.rebuilt,
+                    lost_chunk=sol.lost_chunk,
+                    ok=outcome.ok,
+                    cross_rack_bytes=delta.cross_rack_bytes,
+                    intra_rack_bytes=delta.intra_rack_bytes,
+                    bytes_computed_by_node=delta.bytes_computed_by_node,
+                )
+        run.windows_done += 1
+        if self.tracer.enabled:
+            n = len(outcomes)
+            self.tracer.emit_span(
+                "exec.stream.aggregate", a0, a1, window=idx, stripes=n
             )
-        else:
-            charge[repl] = charge.get(repl, 0) + sol.helper_count * chunk_bytes
-        if sink is not None:
-            sink(sol.stripe_id, outcome.rebuilt, outcome.ok)
-        else:
-            result.reconstructed[sol.stripe_id] = outcome.rebuilt
-        result.per_stripe_ok[sol.stripe_id] = outcome.ok
+            self.tracer.emit_span(
+                "exec.stream.ship", b0, time.perf_counter(), window=idx,
+                stripes=n,
+                cross_rack_bytes=result.cross_rack_bytes - before_cross,
+                intra_rack_bytes=result.intra_rack_bytes - before_intra,
+            )
 
-    def _ship_stripe_full(
-        self, outcome, result, aggregated, repl, sink
-    ) -> None:
-        """Instrumented shipping: the eager path's exact hook sequence.
+    def _ship_stripe(
+        self, sol, sp, outcome, aggregated: bool, repl: int, observed: bool
+    ) -> StripeDelta:
+        """Ship one computed stripe and account its traffic and compute.
 
-        Fires the same checkpoints and deliveries, in the same order,
-        as :meth:`execute_stripe` — traces, stage-counter metrics,
-        journal stage/commit records, and integrity verification are
-        indistinguishable from an eager run of the same stripe (only
-        the decode itself already happened, batched, in stage A).
+        The only place a stripe's traffic/compute is counted.  Each
+        transfer is counted once its delivery returns; with ``observed``
+        the stage cascade — disk reads, raw deliveries, partial decodes
+        and their deliveries, the local fold, the final combine — fires
+        first, in pipeline order.  A hook that raises aborts the stripe
+        with :attr:`_in_flight` holding the traffic consumed so far.
         """
-        sol, sp = outcome.sol, outcome.sp
-        chunk_bytes = self.state.data.chunk_size
-        if self.journal is not None:
-            before_cross = result.cross_rack_bytes
-            before_intra = result.intra_rack_bytes
-            before_compute = dict(result.bytes_computed_by_node)
-        with self.tracer.span(
-            "exec.stripe", stripe_id=sol.stripe_id, aggregated=aggregated
-        ):
+        sid = sol.stripe_id
+        size = self.state.data.chunk_size
+        rack_of = self.state.topology.rack_of
+        delta = self._in_flight = StripeDelta()
+        if observed:
             for c in sol.helpers:
-                node = self.state.placement.node_of(sol.stripe_id, c)
+                node = self.state.placement.node_of(sid, c)
                 self._checkpoint(
                     PipelineStage.DISK_READ,
-                    stripe_id=sol.stripe_id,
-                    node=node,
-                    rack=self.state.topology.rack_of(node),
-                    chunk=c,
+                    stripe_id=sid, node=node, rack=rack_of(node), chunk=c,
                 )
-            for t in sp.transfers:
-                if t.is_partial:
-                    continue
-                stage = (
+        # Raw chunk transfers; partial payloads ship with their decode.
+        partial_from = {}
+        for t in sp.transfers:
+            if t.chunk_index is None:
+                partial_from[t.src_node] = t
+                continue
+            if observed:
+                self._deliver(
                     PipelineStage.CROSS_TRANSFER
                     if t.cross_rack
-                    else PipelineStage.INTRA_TRANSFER
-                )
-                self._deliver(
-                    stage,
-                    self.state.data.chunk(sol.stripe_id, t.chunk_index),
-                    stripe_id=sol.stripe_id,
+                    else PipelineStage.INTRA_TRANSFER,
+                    self.state.data.chunk(sid, t.chunk_index),
+                    stripe_id=sid,
                     node=t.src_node,
                     rack=t.src_rack,
                     chunk=t.chunk_index,
                 )
-                if t.cross_rack:
-                    result.cross_rack_bytes += chunk_bytes
-                else:
-                    result.intra_rack_bytes += chunk_bytes
-            if aggregated:
-                partial_transfers = [t for t in sp.transfers if t.is_partial]
-                groups = sorted(
-                    outcome.groups,
-                    key=lambda g: (
-                        g.group_key != sol.failed_rack, g.group_key
-                    ),
-                )
-                for group in groups:
-                    if group.group_key == sol.failed_rack:
-                        node = repl
+            if t.cross_rack:
+                delta.cross_rack_bytes += size
+            else:
+                delta.intra_rack_bytes += size
+        charge = delta.bytes_computed_by_node
+        if aggregated:
+            # Each rack's partial decode is charged to its delegate (or
+            # to the replacement node for the failed rack's local fold),
+            # the final XOR of the partials to the replacement node.
+            for group in outcome.groups:
+                if group.group_key == sol.failed_rack:
+                    node = repl
+                    if observed:
                         self._checkpoint(
                             PipelineStage.LOCAL_FOLD,
-                            stripe_id=sol.stripe_id,
-                            node=node,
-                            rack=self.state.topology.rack_of(node),
+                            stripe_id=sid, node=node, rack=rack_of(node),
                         )
-                    else:
-                        node = sp.delegates[group.group_key]
+                else:
+                    node = sp.delegates[group.group_key]
+                    xfer = partial_from.get(node)
+                    if xfer is None:
+                        raise PlanError(
+                            f"no partial transfer leaves delegate {node}"
+                        )
+                    if observed:
                         self._checkpoint(
                             PipelineStage.PARTIAL_DECODE,
-                            stripe_id=sol.stripe_id,
-                            node=node,
-                            rack=group.group_key,
+                            stripe_id=sid, node=node, rack=group.group_key,
                             is_partial=True,
                         )
-                        xfer = _partial_transfer_from(partial_transfers, node)
                         self._deliver(
                             PipelineStage.CROSS_TRANSFER
                             if xfer.cross_rack
                             else PipelineStage.INTRA_TRANSFER,
                             outcome.partials[group.group_key],
-                            stripe_id=sol.stripe_id,
+                            stripe_id=sid,
                             node=node,
                             rack=group.group_key,
                             is_partial=True,
                         )
-                        if xfer.cross_rack:
-                            result.cross_rack_bytes += chunk_bytes
-                        else:
-                            result.intra_rack_bytes += chunk_bytes
-                    self._charge(result, node, group.size * chunk_bytes)
-                self._charge(result, repl, len(outcome.groups) * chunk_bytes)
-            else:
-                self._charge(result, repl, sol.helper_count * chunk_bytes)
+                    if xfer.cross_rack:
+                        delta.cross_rack_bytes += size
+                    else:
+                        delta.intra_rack_bytes += size
+                charge[node] = charge.get(node, 0) + group.size * size
+            charge[repl] = charge.get(repl, 0) + len(outcome.groups) * size
+        else:
+            charge[repl] = sol.helper_count * size
+        if observed:
             self._checkpoint(
                 PipelineStage.FINAL_COMBINE,
-                stripe_id=sol.stripe_id,
-                node=repl,
-                rack=self.state.topology.rack_of(repl),
+                stripe_id=sid, node=repl, rack=rack_of(repl),
             )
-            if sink is not None:
-                sink(sol.stripe_id, outcome.rebuilt, outcome.ok)
-            else:
-                result.reconstructed[sol.stripe_id] = outcome.rebuilt
-            result.per_stripe_ok[sol.stripe_id] = outcome.ok
-        reg = _metrics.CURRENT
-        if reg is not None:
-            mode = "aggregated" if aggregated else "direct"
-            reg.counter("exec.stripes").inc(mode=mode)
-        if self.journal is not None:
-            self.journal.stripe_commit(
-                sol.stripe_id,
-                outcome.rebuilt,
-                lost_chunk=sol.lost_chunk,
-                ok=outcome.ok,
-                cross_rack_bytes=result.cross_rack_bytes - before_cross,
-                intra_rack_bytes=result.intra_rack_bytes - before_intra,
-                bytes_computed_by_node={
-                    n: b - before_compute.get(n, 0)
-                    for n, b in result.bytes_computed_by_node.items()
-                    if b - before_compute.get(n, 0)
-                },
-            )
+        return delta
 
-    def execute_stripe(
-        self,
-        plan: RecoveryPlan,
-        sp: StripePlan,
-        sol: PerStripeSolution,
-        result: ExecutionResult,
-    ) -> None:
-        """Execute one stripe of the plan into ``result``.
-
-        Pipeline-stage checkpoints fire in execution order; a checkpoint
-        that raises aborts the stripe with ``result`` holding only the
-        traffic consumed so far (the robust executor uses this to
-        account wasted bytes of failed attempts).
-
-        With a journal attached, an intent record precedes the stripe
-        and a commit record — rebuilt bytes plus this stripe's traffic
-        and compute deltas — follows its verification, so a resumed
-        session replays the stripe from the commit without re-shipping
-        anything.  An aborted attempt leaves intent without commit; the
-        next attempt (or incarnation) writes a fresh intent.
-        """
-        if self.journal is not None:
-            self.journal.stripe_intent(
-                sol.stripe_id,
-                aggregated=plan.aggregated,
-                lost_chunk=sol.lost_chunk,
-            )
-            before_cross = result.cross_rack_bytes
-            before_intra = result.intra_rack_bytes
-            before_compute = dict(result.bytes_computed_by_node)
-        with self.tracer.span(
-            "exec.stripe",
-            stripe_id=sol.stripe_id,
-            aggregated=plan.aggregated,
-        ):
-            self._execute_stripe(plan, sp, sol, result)
-        reg = _metrics.CURRENT
-        if reg is not None:
-            mode = "aggregated" if plan.aggregated else "direct"
-            reg.counter("exec.stripes").inc(mode=mode)
-        if self.journal is not None:
-            self.journal.stripe_commit(
-                sol.stripe_id,
-                result.reconstructed[sol.stripe_id],
-                lost_chunk=sol.lost_chunk,
-                ok=result.per_stripe_ok[sol.stripe_id],
-                cross_rack_bytes=result.cross_rack_bytes - before_cross,
-                intra_rack_bytes=result.intra_rack_bytes - before_intra,
-                bytes_computed_by_node={
-                    n: b - before_compute.get(n, 0)
-                    for n, b in result.bytes_computed_by_node.items()
-                    if b - before_compute.get(n, 0)
-                },
-            )
-
-    def _execute_stripe(
-        self,
-        plan: RecoveryPlan,
-        sp: StripePlan,
-        sol: PerStripeSolution,
-        result: ExecutionResult,
-    ) -> None:
-        chunk_bytes = self.state.data.chunk_size
-        # Disk reads: every helper chunk leaves a disk exactly once.
-        for c in sol.helpers:
-            node = self.state.placement.node_of(sol.stripe_id, c)
-            self._checkpoint(
-                PipelineStage.DISK_READ,
-                stripe_id=sol.stripe_id,
-                node=node,
-                rack=self.state.topology.rack_of(node),
-                chunk=c,
-            )
-        # Raw chunk transfers (partial-payload flows are checkpointed and
-        # counted with their decode, below, to keep pipeline order).  The
-        # received — integrity-verified — buffers are what the decodes
-        # consume; a chunk that never crosses the network is read from
-        # its disk directly.
-        delivered: dict[int, np.ndarray] = {}
-        for t in sp.transfers:
-            if t.is_partial:
-                continue
-            stage = (
-                PipelineStage.CROSS_TRANSFER
-                if t.cross_rack
-                else PipelineStage.INTRA_TRANSFER
-            )
-            delivered[t.chunk_index] = self._deliver(
-                stage,
-                self.state.data.chunk(sol.stripe_id, t.chunk_index),
-                stripe_id=sol.stripe_id,
-                node=t.src_node,
-                rack=t.src_rack,
-                chunk=t.chunk_index,
-            )
-            if t.cross_rack:
-                result.cross_rack_bytes += chunk_bytes
-            else:
-                result.intra_rack_bytes += chunk_bytes
-        if plan.aggregated:
-            rebuilt = self._execute_stripe_aggregated(
-                sol, plan, sp, result, delivered
-            )
-        else:
-            rebuilt = self._execute_stripe_direct(sol, plan, result, delivered)
-        self._checkpoint(
-            PipelineStage.FINAL_COMBINE,
-            stripe_id=sol.stripe_id,
-            node=plan.replacement_node,
-            rack=self.state.topology.rack_of(plan.replacement_node),
-        )
-        result.reconstructed[sol.stripe_id] = rebuilt
-        result.per_stripe_ok[sol.stripe_id] = self.state.data.matches(
-            sol.stripe_id, sol.lost_chunk, rebuilt
-        )
-
-    # -- internals ------------------------------------------------------
+    # -- observer hooks -------------------------------------------------
 
     def _checkpoint(
         self,
@@ -874,107 +692,3 @@ class PlanExecutor:
             f"checksum mismatch at {stage.value}: payload from node {node} "
             f"(stripe {stripe_id}, attempt {attempt})"
         )
-
-    def _charge(self, result: ExecutionResult, node: int, nbytes: int) -> None:
-        result.bytes_computed_by_node[node] = (
-            result.bytes_computed_by_node.get(node, 0) + nbytes
-        )
-
-    def _chunks(
-        self, stripe_id: int, indices, delivered=None
-    ) -> dict[int, np.ndarray]:
-        """Helper chunk buffers, preferring network-delivered copies.
-
-        A chunk that moved over the network decodes from the verified
-        received buffer; one that never left its node (the delegate's
-        own chunk, co-located helpers) reads from disk.
-        """
-        if delivered is None:
-            delivered = {}
-        return {
-            c: (
-                delivered[c]
-                if c in delivered
-                else self.state.data.chunk(stripe_id, c)
-            )
-            for c in indices
-        }
-
-    def _execute_stripe_aggregated(
-        self, sol, plan: RecoveryPlan, sp: StripePlan, result, delivered=None
-    ):
-        code = self.state.code
-        chunk_bytes = self.state.data.chunk_size
-        decode_plan = split_repair_vector(
-            code, sol.lost_chunk, sol.helpers, sol.rack_map()
-        )
-        chunks = self._chunks(sol.stripe_id, sol.helpers, delivered)
-        # Each rack's partial decode (Equation 7) happens at its
-        # delegate; the buffers computed here are the payloads the
-        # delivery step below ships — and possibly corrupts/verifies —
-        # before the final combine may touch them.
-        partials = execute_partial_decode(code, decode_plan, chunks)
-        partial_transfers = [t for t in sp.transfers if t.is_partial]
-        # Charge each rack's partial decode to its delegate (or to the
-        # replacement node for the failed rack's local fold).
-        groups = sorted(
-            decode_plan.groups,
-            key=lambda g: (g.group_key != sol.failed_rack, g.group_key),
-        )
-        for group in groups:
-            if group.group_key == sol.failed_rack:
-                node = plan.replacement_node
-                self._checkpoint(
-                    PipelineStage.LOCAL_FOLD,
-                    stripe_id=sol.stripe_id,
-                    node=node,
-                    rack=self.state.topology.rack_of(node),
-                )
-            else:
-                node = sp.delegates[group.group_key]
-                self._checkpoint(
-                    PipelineStage.PARTIAL_DECODE,
-                    stripe_id=sol.stripe_id,
-                    node=node,
-                    rack=group.group_key,
-                    is_partial=True,
-                )
-                xfer = _partial_transfer_from(partial_transfers, node)
-                partials[group.group_key] = self._deliver(
-                    PipelineStage.CROSS_TRANSFER
-                    if xfer.cross_rack
-                    else PipelineStage.INTRA_TRANSFER,
-                    partials[group.group_key],
-                    stripe_id=sol.stripe_id,
-                    node=node,
-                    rack=group.group_key,
-                    is_partial=True,
-                )
-                if xfer.cross_rack:
-                    result.cross_rack_bytes += chunk_bytes
-                else:
-                    result.intra_rack_bytes += chunk_bytes
-            self._charge(result, node, group.size * chunk_bytes)
-        # Final XOR of the per-rack partials at the replacement node.
-        self._charge(
-            result, plan.replacement_node, len(partials) * chunk_bytes
-        )
-        return combine_partials(code, partials)
-
-    def _execute_stripe_direct(
-        self, sol, plan: RecoveryPlan, result, delivered=None
-    ):
-        code = self.state.code
-        chunk_bytes = self.state.data.chunk_size
-        chunks = self._chunks(sol.stripe_id, sol.helpers, delivered)
-        self._charge(
-            result, plan.replacement_node, len(chunks) * chunk_bytes
-        )
-        return code.reconstruct(sol.lost_chunk, chunks)
-
-
-def _partial_transfer_from(transfers, delegate: int):
-    for t in transfers:
-        if t.src_node == delegate:
-            return t
-    raise PlanError(f"no partial transfer leaves delegate {delegate}")

@@ -1,4 +1,4 @@
-"""Windowed, batched stripe computation for the streaming executor.
+"""Windowed, batched stripe computation for the recovery executor.
 
 This module is the compute half of
 :meth:`~repro.recovery.executor.PlanExecutor.execute_streaming`:
@@ -18,39 +18,35 @@ This module is the compute half of
   memoised in the named :data:`REPAIR_GROUP_CACHE`, whose hit/miss rates
   surface through the :mod:`repro.obs` metrics registry (the hit rate is
   exactly the batching opportunity the grouping exploits);
-- :func:`execute_parallel` fans windows out over a process pool, with
-  chunk data mapped zero-copy through :mod:`repro.io_shm` instead of
-  pickled per task.
+- :func:`computed_windows` runs :func:`compute_window` over every window
+  in order — inline, one window ahead on a worker thread, or fanned over
+  a process pool with chunk data mapped zero-copy through
+  :mod:`repro.io_shm` instead of pickled per task.
 
 Everything here is *pure computation* over read-only state: no tracer,
 metrics, journal, or data-store mutation.  That is a hard requirement —
-the pipelined executor runs :func:`compute_window` on a worker thread
-while the main thread ships the previous window (telemetry, journalling
-and the GF scratch buffers are not thread-safe, so they stay on exactly
-one thread each).
+the executor ships, verifies and journals the computed windows on its
+own thread, in submission order, while the next windows compute on a
+thread or in worker processes.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cache import BoundedCache
 from repro.erasure.repair import PartialDecodePlan, split_repair_vector
-from repro.errors import ConfigurationError
 from repro.gf.field import gf
 from repro.gf.vector import dot_rows
 from repro.recovery.planner import StripePlan
 from repro.recovery.solution import PerStripeSolution
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.recovery.executor import PlanExecutor
 
 __all__ = [
     "REPAIR_GROUP_CACHE",
@@ -58,7 +54,7 @@ __all__ = [
     "repair_signature",
     "windows",
     "compute_window",
-    "execute_parallel",
+    "computed_windows",
 ]
 
 #: Memoised per-signature repair decompositions.  Named, so the cache
@@ -70,22 +66,23 @@ REPAIR_GROUP_CACHE = BoundedCache(4096, name="exec.repair_groups")
 
 @dataclass
 class StripeOutcome:
-    """Everything stage B (shipping) needs about one computed stripe.
+    """Everything the ship step needs about one computed stripe.
+
+    The stripe's solution and plan stay with the caller's window (an
+    outcome is returned in the window's order), so a worker process
+    sends back only what it computed.
 
     Attributes:
-        sol / sp: the stripe's solution and plan.
         rebuilt: the reconstructed chunk (owned copy, not a batch view).
         ok: byte-exact match against ground truth.
-        groups: the repair decomposition's per-rack groups (aggregated
-            mode; used for compute charging and checkpoint ordering).
+        groups: the repair decomposition's per-rack groups in ship
+            order — the failed rack's local fold first, then intact
+            racks by key (aggregated mode; empty for direct repair).
         partials: rack key -> partially decoded buffer.  Only populated
-            when the executor needs to ship them through the full
-            checkpoint/delivery pipeline (telemetry, journal or
-            integrity verification active).
+            when the executor ships them through its observers
+            (telemetry, journal, integrity verification, fault hooks).
     """
 
-    sol: PerStripeSolution
-    sp: StripePlan
     rebuilt: np.ndarray
     ok: bool
     groups: tuple = ()
@@ -120,16 +117,15 @@ def windows(pairs, window: int):
 
 
 def _decode_plan(code, sol: PerStripeSolution) -> PartialDecodePlan:
-    """The stripe's per-rack repair decomposition, memoised by signature."""
-    key = (
-        type(code).__name__,
-        code.k,
-        code.m,
-        getattr(code, "w", 0),
-        repair_signature(sol, True),
-    )
+    """The stripe's per-rack repair decomposition, memoised by signature.
+
+    Keyed by the repair vector itself (from the code's own cache), so
+    two codes with equal parameters but different generators never
+    share an entry.
+    """
+    y = tuple(code.repair_vector(sol.lost_chunk, list(sol.helpers)))
     return REPAIR_GROUP_CACHE.get_or_build(
-        key,
+        (y, repair_signature(sol, True)),
         lambda: split_repair_vector(
             code, sol.lost_chunk, sol.helpers, sol.rack_map()
         ),
@@ -141,8 +137,7 @@ def _ok_flags(data, members, rebuilt_cat: np.ndarray, size: int) -> list[bool]:
 
     The common case — everything reconstructs — is one comparison over
     the concatenated buffers; only a mismatching group falls back to
-    per-stripe comparisons (whose verdicts must match the eager path's
-    exactly, stripe by stripe).
+    per-stripe comparisons.
     """
     truth = [
         data.chunk(sol.stripe_id, sol.lost_chunk) for sol, _ in members
@@ -161,6 +156,12 @@ def _compute_group_aggregated(
     """Batched aggregated decode of stripes sharing one signature."""
     sol0 = members[0][0]
     plan = _decode_plan(code, sol0)
+    groups = tuple(
+        sorted(
+            plan.groups,
+            key=lambda g: (g.group_key != sol0.failed_rack, g.group_key),
+        )
+    )
     size = data.chunk(sol0.stripe_id, plan.groups[0].helper_indices[0]).shape[0]
     many = len(members) > 1
     partials_cat: dict = {}
@@ -182,15 +183,13 @@ def _compute_group_aggregated(
             np.bitwise_xor(rebuilt_cat, partial, out=rebuilt_cat)
     oks = _ok_flags(data, members, rebuilt_cat, size)
     out = []
-    for i, (sol, sp) in enumerate(members):
+    for i in range(len(members)):
         lo, hi = i * size, (i + 1) * size
         out.append(
             StripeOutcome(
-                sol=sol,
-                sp=sp,
                 rebuilt=rebuilt_cat[lo:hi].copy(),
                 ok=oks[i],
-                groups=plan.groups,
+                groups=groups,
                 partials=(
                     {k: v[lo:hi] for k, v in partials_cat.items()}
                     if keep_partials
@@ -223,12 +222,9 @@ def _compute_group_direct(code, field, data, members) -> list[StripeOutcome]:
     oks = _ok_flags(data, members, rebuilt_cat, size)
     return [
         StripeOutcome(
-            sol=sol,
-            sp=sp,
-            rebuilt=rebuilt_cat[i * size : (i + 1) * size].copy(),
-            ok=oks[i],
+            rebuilt=rebuilt_cat[i * size : (i + 1) * size].copy(), ok=oks[i]
         )
-        for i, (sol, sp) in enumerate(members)
+        for i in range(len(members))
     ]
 
 
@@ -241,11 +237,12 @@ def compute_window(
     batch: bool = True,
     keep_partials: bool = False,
 ) -> tuple[list[StripeOutcome], float, float]:
-    """Stage A: decode every stripe of one window, batched by signature.
+    """Decode every stripe of one window, batched by signature.
 
-    Returns the outcomes **in input order** plus the stage's wall-clock
-    start/end (the executor emits them as a pipeline span — this
-    function itself must stay telemetry-free, see the module docstring).
+    Returns the outcomes **in input order** plus the computation's
+    wall-clock start/end (the executor emits them as a pipeline span —
+    this function itself must stay telemetry-free, see the module
+    docstring).
     """
     start = time.perf_counter()
     field = gf(code.w)
@@ -267,12 +264,54 @@ def compute_window(
     return outcomes, start, time.perf_counter()
 
 
+def computed_windows(
+    code,
+    data,
+    pairs,
+    window: int,
+    aggregated: bool,
+    *,
+    batch: bool = True,
+    keep_partials: bool = False,
+    overlap: bool = False,
+    workers: int | None = None,
+    shm: bool | None = None,
+):
+    """Yield ``(window_pairs, computed)`` for every window, in order.
+
+    ``computed`` is :func:`compute_window`'s result — directly when it
+    ran inline, or a future of it when it runs ahead of the consumer:
+    on one worker thread (``overlap=True``) or on ``workers > 1``
+    processes.  Close the generator to stop early; it then shuts its
+    pool down and releases any shared memory.
+    """
+    wins = windows(pairs, window)
+    kwargs = {
+        "aggregated": aggregated, "batch": batch,
+        "keep_partials": keep_partials,
+    }
+    if workers is not None and workers > 1:
+        yield from _process_windows(code, data, wins, workers, shm, kwargs)
+    elif overlap:
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            for win in wins:
+                yield win, pool.submit(
+                    compute_window, code, data, win, **kwargs
+                )
+        finally:
+            pool.shutdown(wait=True)
+    else:
+        for win in wins:
+            yield win, compute_window(code, data, win, **kwargs)
+
+
 # -- multi-process execution ------------------------------------------------
 
 #: Per-worker context installed by the pool initializer: (code, data
-#: store, aggregated, batch, replacement node, shared store to close on
-#: exit).  Module-global because ProcessPoolExecutor initializers cannot
-#: return values.
+#: store, compute_window arguments, shared store to close on exit).
+#: Module-global because ProcessPoolExecutor initializers cannot return
+#: values.
 _WORKER: dict | None = None
 
 
@@ -282,155 +321,50 @@ def _init_worker(payload: bytes) -> None:
     global _WORKER
     ctx = pickle.loads(payload)
     if ctx["handle"] is not None:
-        shared = SharedChunkStore.attach(ctx["handle"])
-        data = shared.store()
-    else:
-        shared = None
-        data = ctx["data"]
-    _WORKER = {
-        "code": ctx["code"],
-        "data": data,
-        "aggregated": ctx["aggregated"],
-        "batch": ctx["batch"],
-        "replacement_node": ctx["replacement_node"],
-        "shared": shared,
-    }
+        ctx["shared"] = SharedChunkStore.attach(ctx["handle"])
+        ctx["data"] = ctx["shared"].store()
+    _WORKER = ctx
 
 
-def _run_window(pairs: list) -> list[tuple]:
-    """Worker task: stage A + fast-path accounting for one window.
-
-    Returns per stripe ``(stripe_id, rebuilt, ok, cross_bytes,
-    intra_bytes, charges)`` — plain picklable tuples, merged by the
-    parent in submission order so results are order-stable for any
-    worker count.
-    """
+def _compute_task(pairs: list) -> tuple[list[StripeOutcome], float, float]:
     ctx = _WORKER
-    outcomes, _, _ = compute_window(
-        ctx["code"], ctx["data"], pairs, ctx["aggregated"],
-        batch=ctx["batch"],
-    )
-    chunk_bytes = ctx["data"].chunk_size
-    repl = ctx["replacement_node"]
-    out = []
-    for o in outcomes:
-        cross = intra = 0
-        for t in o.sp.transfers:
-            if t.cross_rack:
-                cross += chunk_bytes
-            else:
-                intra += chunk_bytes
-        charges: dict[int, int] = {}
-        if ctx["aggregated"]:
-            for group in o.groups:
-                node = (
-                    repl
-                    if group.group_key == o.sol.failed_rack
-                    else o.sp.delegates[group.group_key]
-                )
-                charges[node] = charges.get(node, 0) + group.size * chunk_bytes
-            charges[repl] = charges.get(repl, 0) + len(o.groups) * chunk_bytes
-        else:
-            charges[repl] = o.sol.helper_count * chunk_bytes
-        out.append(
-            (o.sol.stripe_id, o.rebuilt, o.ok, cross, intra, charges)
-        )
-    return out
+    return compute_window(ctx["code"], ctx["data"], pairs, **ctx["kwargs"])
 
 
-def execute_parallel(
-    executor: "PlanExecutor",
-    pairs,
-    aggregated: bool,
-    replacement_node: int,
-    *,
-    window: int,
-    workers: int,
-    batch: bool,
-    shm: bool | None,
-    sink=None,
-    progress=None,
-):
-    """Fan stripe windows out over worker processes (fast path only).
+def _process_windows(code, data, wins, workers: int, shm, kwargs):
+    """Compute windows on a process pool, ``workers`` windows ahead.
 
     The chunk store crosses the process boundary exactly once — as a
     shared-memory mapping by default (``shm=None``/``True``), or pickled
-    into the initializer when ``shm=False`` — never per task.  Windows
-    are submitted in order and folded in order.
-
-    Raises:
-        ConfigurationError: if a journal or integrity verification is
-            attached — both are coordinator-local protocols that cannot
-            span worker processes.
+    into the initializer when ``shm=False`` — never per task.
     """
     from repro.io_shm import SharedChunkStore
-    from repro.recovery.executor import ExecutionResult
 
-    if executor.journal is not None:
-        raise ConfigurationError(
-            "streaming with workers > 1 cannot journal: the write-ahead "
-            "journal is single-writer (run workers=1 for durable sessions)"
-        )
-    if executor.verify_integrity:
-        raise ConfigurationError(
-            "streaming with workers > 1 skips the in-flight delivery "
-            "pipeline; integrity verification requires workers=1"
-        )
-    use_shm = True if shm is None else shm
-    shared = (
-        SharedChunkStore.from_datastore(executor.state.data)
-        if use_shm
-        else None
+    use_shm = shm is None or shm
+    shared = SharedChunkStore.from_datastore(data) if use_shm else None
+    payload = pickle.dumps(
+        {
+            "code": code,
+            "handle": shared.handle if shared is not None else None,
+            "data": None if shared is not None else data,
+            "kwargs": kwargs,
+        }
     )
-    ctx = {
-        "code": executor.state.code,
-        "handle": shared.handle if shared is not None else None,
-        "data": None if shared is not None else executor.state.data,
-        "aggregated": aggregated,
-        "batch": batch,
-        "replacement_node": replacement_node,
-    }
-    payload = pickle.dumps(ctx)
-    result = ExecutionResult()
     try:
         with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(payload,),
+            max_workers=workers, initializer=_init_worker, initargs=(payload,)
         ) as pool:
-            futures = [
-                pool.submit(_run_window, win) for win in windows(pairs, window)
-            ]
-            windows_done = 0
-            for fut in futures:
-                for sid, rebuilt, ok, cross, intra, charges in fut.result():
-                    if sink is not None:
-                        sink(sid, rebuilt, ok)
-                    else:
-                        result.reconstructed[sid] = rebuilt
-                    result.per_stripe_ok[sid] = ok
-                    result.cross_rack_bytes += cross
-                    result.intra_rack_bytes += intra
-                    for node, nbytes in charges.items():
-                        result.bytes_computed_by_node[node] = (
-                            result.bytes_computed_by_node.get(node, 0) + nbytes
-                        )
-                windows_done += 1
-                if progress is not None:
-                    progress.update(
-                        len(result.per_stripe_ok),
-                        windows_done=windows_done,
-                        cross_rack_bytes=result.cross_rack_bytes,
-                        intra_rack_bytes=result.intra_rack_bytes,
-                    )
-            if progress is not None:
-                progress.finish(
-                    len(result.per_stripe_ok),
-                    windows_done=windows_done,
-                    cross_rack_bytes=result.cross_rack_bytes,
-                    intra_rack_bytes=result.intra_rack_bytes,
-                )
+            queue: deque = deque()
+            try:
+                for win in wins:
+                    queue.append((win, pool.submit(_compute_task, win)))
+                    if len(queue) > workers:
+                        yield queue.popleft()
+                while queue:
+                    yield queue.popleft()
+            finally:
+                for _, future in queue:
+                    future.cancel()
     finally:
         if shared is not None:
             shared.close()
-    return result

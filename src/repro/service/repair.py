@@ -1,11 +1,9 @@
 """The background repair service: paced, cancellable, crash-resumable.
 
 The repair runs the *existing* durable pipeline — a
-:class:`~repro.durable.session.RecoverySession` with ``streaming=True``
-executing through
-:meth:`~repro.recovery.executor.PlanExecutor.execute_streaming` — in a
-worker thread, while the coordinator's event loop keeps serving
-degraded reads.  Three small pieces adapt that pipeline to a live
+:class:`~repro.durable.session.RecoverySession`, whose executor decodes
+and ships stripes window by window — in a worker thread, while the
+coordinator's event loop keeps serving degraded reads.  Three small pieces adapt that pipeline to a live
 service:
 
 - :class:`RepairGovernor` rides the executor's progress-reporter hook
@@ -53,10 +51,10 @@ __all__ = ["RepairGovernor", "DeadNodeAwareStrategy", "RepairService"]
 
 
 class RepairGovernor:
-    """Progress hook that paces and can cancel a streaming repair.
+    """Progress hook that paces and can cancel a windowed repair.
 
     Duck-types :class:`~repro.obs.progress.ProgressReporter`: the
-    streaming executor calls :meth:`update` once per shipped window with
+    executor calls :meth:`update` once per shipped window with
     absolute counters, and :meth:`finish` once at the end.  Both forward
     to an optional ``inner`` reporter so normal progress heartbeats keep
     flowing.
@@ -308,7 +306,6 @@ class RepairService:
             self.event,
             self._strategy(),
             self.journal_path,
-            streaming=True,
             window=self.window,
             progress=governor,
             tracer=self.tracer,

@@ -75,6 +75,20 @@ class TestDurableCommands:
         assert "verified: yes" in out
         assert "0 replayed" in out
 
+    def test_progress_on_durable_and_resume(self, tmp_path, capsys):
+        journal = str(tmp_path / "journal.jsonl")
+        # Two-stripe windows: record 9 lands after the first commit.
+        assert main(["durable", journal, "--seed", "4", "--stripes", "12",
+                     "--window", "2", "--crash-after", "9",
+                     "--progress"]) == 3
+        capsys.readouterr()
+        assert main(["resume", journal, "--window", "2",
+                     "--progress"]) == 0
+        captured = capsys.readouterr()
+        assert "stripes/s" in captured.err
+        assert "verified: yes" in captured.out
+        assert "= 0 replayed" not in captured.out
+
     def test_crash_during_resume_exits_3(self, tmp_path, capsys):
         journal = str(tmp_path / "journal.jsonl")
         assert main(["durable", journal, "--seed", "4", "--stripes", "8",

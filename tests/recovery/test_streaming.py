@@ -23,12 +23,17 @@ from repro.durable.journal import JournalReplay, validate_journal_records
 from repro.durable.session import RecoverySession
 from repro.erasure.rs import RSCode
 from repro.errors import (
-    ConfigurationError,
     CoordinatorCrashError,
     PlanError,
     UnknownChunkError,
 )
-from repro.faults.injector import FaultInjector
+from repro.faults import (
+    FaultInjector,
+    FaultKind,
+    FaultSpec,
+    PipelineStage,
+    RobustExecutor,
+)
 from repro.io_shm import SharedChunkStore
 from repro.obs import metrics as _metrics
 from repro.obs.tracer import Tracer
@@ -37,7 +42,6 @@ from repro.recovery.executor import PlanExecutor
 from repro.recovery.planner import plan_recovery, plan_recovery_streaming
 from repro.recovery.streaming import (
     REPAIR_GROUP_CACHE,
-    execute_parallel,
     repair_signature,
     windows,
 )
@@ -207,29 +211,116 @@ class TestStreamingValidation:
         with pytest.raises(PlanError):
             PlanExecutor(state).execute_streaming(splan, window=4)
 
-    def test_workers_refuse_journal_and_integrity(self, tmp_path):
-        from repro.durable.journal import RecoveryJournal
 
-        state, event = failed_cluster(seed=1)
+class TestPipelineConfigurations:
+    """Option combinations that run the one windowed pipeline."""
+
+    @pytest.mark.parametrize("strat", ["car", "direct"])
+    def test_workers_journal_and_integrity_match_one_worker(
+        self, strat, tmp_path
+    ):
+        from repro.durable.journal import RecoveryJournal, read_journal
+
+        def run(workers):
+            state, event = failed_cluster(seed=21, stripes=24)
+            sol = strategy_for(strat, 21).solve(state)
+            plan = plan_recovery(state, event, sol)
+            path = tmp_path / f"{strat}-{workers}.jsonl"
+            journal = RecoveryJournal(path)
+            journal.begin_session(
+                {"stripes": sorted(s.stripe_id for s in sol.solutions)}
+            )
+            result = PlanExecutor(
+                state, journal=journal, verify_integrity=True
+            ).execute_streaming(plan, sol, window=5, workers=workers)
+            journal.end_session(committed=len(result.per_stripe_ok))
+            return result, read_journal(path)
+
+        one, one_records = run(1)
+        two, two_records = run(2)
+        assert one.verified
+        assert_identical(one, two)
+        assert two_records == one_records
+        commits = [r for r in two_records if r["rec"] == "commit"]
+        assert len(commits) == len(two.per_stripe_ok)
+        assert sum(c["cross_rack_bytes"] for c in commits) == (
+            two.cross_rack_bytes
+        )
+        assert sum(c["intra_rack_bytes"] for c in commits) == (
+            two.intra_rack_bytes
+        )
+        compute: dict[int, int] = {}
+        for c in commits:
+            for node, nbytes in c["bytes_computed_by_node"].items():
+                compute[int(node)] = compute.get(int(node), 0) + nbytes
+        assert compute == two.bytes_computed_by_node
+
+    def test_robust_run_is_window_invariant(self):
+        state, event = failed_cluster(seed=23, stripes=20)
         sol = CarStrategy().solve(state)
         plan = plan_recovery(state, event, sol)
-        journal = RecoveryJournal(tmp_path / "j.jsonl")
-        journal.begin_session({"stripes": []})
-        ex = PlanExecutor(state, journal=journal)
-        with pytest.raises(ConfigurationError):
-            ex.execute_streaming(plan, sol, workers=2)
-        journal.close()
-        ex = PlanExecutor(state, verify_integrity=True)
-        with pytest.raises(ConfigurationError):
-            ex.execute_streaming(plan, sol, workers=2)
+        # A mid-plan stripe whose delegate crashes after its raw
+        # transfers shipped, so the voided attempt wastes traffic.
+        victim = next(
+            sp for sp in plan.stripe_plans[len(plan.stripe_plans) // 2:]
+            if sp.delegates
+            and any(t.chunk_index is not None for t in sp.transfers)
+        )
 
-    def test_streaming_session_refuses_fault_injector(self, tmp_path):
-        state, event = failed_cluster(seed=1)
-        with pytest.raises(ConfigurationError):
-            RecoverySession(
-                state, event, CarStrategy(), tmp_path / "j.jsonl",
-                injector=FaultInjector(seed=1), streaming=True,
+        def run(window):
+            state, event = failed_cluster(seed=23, stripes=20)
+            injector = FaultInjector(
+                [
+                    FaultSpec(kind=FaultKind.DISK_STALL,
+                              stage=PipelineStage.DISK_READ, max_fires=2,
+                              stall_seconds=0.5),
+                    FaultSpec(kind=FaultKind.FLOW_DROP,
+                              stage=PipelineStage.CROSS_TRANSFER,
+                              max_fires=2),
+                    FaultSpec(kind=FaultKind.IN_FLIGHT_CORRUPT,
+                              stage=PipelineStage.INTRA_TRANSFER,
+                              max_fires=1),
+                    FaultSpec(kind=FaultKind.DELEGATE_CRASH,
+                              stage=PipelineStage.PARTIAL_DECODE,
+                              stripe_id=victim.stripe_id),
+                ],
+                seed=5,
             )
+            return RobustExecutor(state, injector=injector).run(
+                event, CarStrategy().solve(state), window=window
+            )
+
+        runs = {window: run(window) for window in (1, 4, 64)}
+        base = runs[1]
+        assert base.verified
+        assert {f.kind for f in base.log.faults} == {
+            FaultKind.DISK_STALL, FaultKind.FLOW_DROP,
+            FaultKind.IN_FLIGHT_CORRUPT, FaultKind.DELEGATE_CRASH,
+        }
+        assert base.replans == 1
+        assert base.wasted_cross_rack_bytes + base.wasted_intra_rack_bytes
+        for window, r in runs.items():
+            assert r.log == base.log, f"window {window}"
+            assert r.dead_nodes == base.dead_nodes
+            assert r.replans == base.replans
+            assert r.wasted_cross_rack_bytes == base.wasted_cross_rack_bytes
+            assert r.wasted_intra_rack_bytes == base.wasted_intra_rack_bytes
+            assert_identical(r.result, base.result)
+
+    def test_workers_emit_the_stage_counters(self):
+        state, event = failed_cluster(seed=9, stripes=20)
+        sol = CarStrategy().solve(state)
+        plan = plan_recovery(state, event, sol)
+
+        def counters(workers):
+            with _metrics.telemetry_scope(_metrics.MetricsRegistry()) as reg:
+                PlanExecutor(state).execute_streaming(
+                    plan, sol, window=4, workers=workers
+                )
+                metrics = reg.snapshot()["metrics"]
+            return metrics["exec.stage.checkpoints"], metrics["exec.stripes"]
+
+        assert counters(2) == counters(1)
 
 
 class TestStreamingDurability:
@@ -240,7 +331,7 @@ class TestStreamingDurability:
         ).run()
         streamed = RecoverySession(
             state, event, CarStrategy(), tmp_path / "s.jsonl",
-            streaming=True, window=5,
+            window=5,
         ).run()
         assert streamed.verified
         assert streamed.per_stripe_ok == eager.per_stripe_ok
@@ -273,7 +364,7 @@ class TestStreamingDurability:
             jp = os.path.join(td, "crash.jsonl")
             session = RecoverySession(
                 state, event, CarStrategy(), jp,
-                streaming=True, window=window,
+                window=window,
                 crash_after_records=crash_after,
             )
             try:
@@ -284,7 +375,7 @@ class TestStreamingDurability:
                 # object, and we build a fresh one).
                 out = RecoverySession(
                     state, event, CarStrategy(), jp,
-                    streaming=True, window=window,
+                    window=window,
                 ).resume()
             assert out.verified
             assert out.per_stripe_ok == eager.per_stripe_ok
@@ -301,7 +392,7 @@ class TestStreamingDurability:
         with pytest.raises(CoordinatorCrashError):
             RecoverySession(
                 state, event, CarStrategy(), jp,
-                streaming=True, window=4, crash_after_records=25,
+                window=4, crash_after_records=25,
             ).run()
         out = RecoverySession(state, event, CarStrategy(), jp).resume()
         assert out.verified
@@ -375,17 +466,3 @@ class TestStreamingHelpers:
         a, b = sol.solutions[0], sol.solutions[1]
         if (a.lost_chunk, a.helpers) != (b.lost_chunk, b.helpers):
             assert repair_signature(a, False) != repair_signature(b, False)
-
-    def test_execute_parallel_requires_plain_executor(self, tmp_path):
-        from repro.durable.journal import RecoveryJournal
-
-        state, event = failed_cluster(seed=1)
-        journal = RecoveryJournal(tmp_path / "j.jsonl")
-        journal.begin_session({"stripes": []})
-        ex = PlanExecutor(state, journal=journal)
-        with pytest.raises(ConfigurationError):
-            execute_parallel(
-                ex, iter(()), True, 0, window=4, workers=2, batch=True,
-                shm=None,
-            )
-        journal.close()
