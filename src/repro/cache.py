@@ -7,11 +7,13 @@ both leaks memory under adversarial key streams and — in the
 ``lru_cache`` case — makes the owning object unpicklable, blocking the
 process-pool experiment driver.  :class:`BoundedCache` is the shared
 replacement: a plain least-recently-used mapping with an explicit entry
-bound and hit/miss counters for observability.
+bound and hit/miss counters for observability.  One lock guards the
+mapping and the counters, so threads may share a cache.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from collections.abc import Callable, Hashable
 from typing import TypeVar
@@ -41,7 +43,10 @@ class BoundedCache:
 
     The cache is deliberately minimal: ``get`` / ``put`` /
     :meth:`get_or_build`, plus ``hits``/``misses``/``evictions``
-    counters so benches can assert cache effectiveness.
+    counters so benches can assert cache effectiveness.  It is
+    thread-safe; ``get_or_build`` runs its builder outside the lock, so
+    two threads missing on one key may both build it (the later insert
+    wins).
     """
 
     def __init__(self, maxsize: int, name: str | None = None) -> None:
@@ -53,6 +58,7 @@ class BoundedCache:
         self.misses = 0
         self.evictions = 0
         self._data: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
         if name is not None:
             register_cache(name, self)
 
@@ -64,36 +70,36 @@ class BoundedCache:
 
     def get(self, key: K, default: V | None = None) -> V | None:
         """Return the cached value (refreshing recency) or ``default``."""
-        value = self._data.get(key, _MISSING)
-        if value is _MISSING:
-            self.misses += 1
-            return default
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
+        with self._lock:
+            value = self._data.get(key, _MISSING)
+            if value is _MISSING:
+                self.misses += 1
+                return default
+            self._data.move_to_end(key)
+            self.hits += 1
+            return value
 
     def put(self, key: K, value: V) -> V:
         """Insert/refresh an entry, evicting the oldest past the bound."""
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            self.evictions += 1
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+                self.evictions += 1
         return value
 
     def get_or_build(self, key: K, builder: Callable[[], V]) -> V:
         """Return the cached value, building and inserting it on a miss."""
-        value = self._data.get(key, _MISSING)
+        value = self.get(key, _MISSING)
         if value is not _MISSING:
-            self._data.move_to_end(key)
-            self.hits += 1
             return value
-        self.misses += 1
         return self.put(key, builder())
 
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
-        self._data.clear()
+        with self._lock:
+            self._data.clear()
 
     def __repr__(self) -> str:
         label = f"{self.name!r}, " if self.name else ""

@@ -330,6 +330,18 @@ def _kwargs(args: argparse.Namespace, default_runs: int) -> dict:
     return kwargs
 
 
+def _write_json(path, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON, creating parent dirs."""
+    import json
+    from pathlib import Path
+
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
 def _maybe_plot(args, results, title, series_of, y_label):
     if not args.plot:
         return ""
@@ -448,9 +460,6 @@ def _run_fig10(args: argparse.Namespace) -> str:
 
 
 def _run_regen(args: argparse.Namespace) -> str:
-    import json
-    from pathlib import Path
-
     from repro.experiments.regen import regen_to_dict, run_regen
     from repro.experiments.report import render_regen
 
@@ -460,11 +469,7 @@ def _run_regen(args: argparse.Namespace) -> str:
     results = run_regen(**kwargs)
     out = render_regen(results)
     if args.json_path is not None:
-        payload = regen_to_dict(results)
-        Path(args.json_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_path, regen_to_dict(results))
         out += f"\n\nwrote JSON results to {args.json_path}"
     return out + _maybe_plot(
         args,
@@ -702,7 +707,6 @@ def _run_resume(args: argparse.Namespace) -> str:
 
 
 def _run_stream(args: argparse.Namespace) -> str:
-    import json
     import resource
     import time
     from contextlib import nullcontext
@@ -824,10 +828,7 @@ def _run_stream(args: argparse.Namespace) -> str:
             f"profile.jsonl, progress.jsonl to {telemetry_dir}/"
         )
     if args.json_path is not None:
-        Path(args.json_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_path, payload)
         lines.append(f"  wrote JSON results to {args.json_path}")
     return "\n".join(lines)
 
@@ -881,12 +882,7 @@ def _run_serve(args: argparse.Namespace) -> str:
     )
     out = _render_serve_summary(summary)
     if args.json_path is not None:
-        import json
-
-        Path(args.json_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_path, summary)
         out += f"\n  wrote JSON results to {args.json_path}"
     return out
 
@@ -932,12 +928,7 @@ def _run_bench_service(args: argparse.Namespace) -> str:
         "foreground latency (modelled)\n" + render_service_table(rows)
     )
     if args.json_path is not None:
-        import json
-
-        Path(args.json_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_path, rows)
         out += f"\nwrote JSON results to {args.json_path}"
     return out
 

@@ -2,8 +2,7 @@
 
 The recovery layer consumes the :class:`~repro.erasure.code.ErasureCode`
 interface; :class:`~repro.erasure.rs.RSCode` is the production
-implementation (the paper deploys RS codes).  The ``xorcodes``
-subpackage holds the related-work array codes.
+implementation (the paper deploys RS codes).
 """
 
 from repro.erasure.code import ErasureCode

@@ -6,11 +6,9 @@ Public surface:
   :data:`GF8`, :data:`GF16` and the :func:`gf` factory — scalar ops.
 - :mod:`repro.gf.vector` — numpy-vectorised chunk-buffer kernels
   (``mul_scalar``, ``axpy``, ``dot_rows``, ``matrix_apply``).
-- :class:`~repro.gf.polynomial.Polynomial` — polynomials over the field.
 """
 
 from repro.gf.field import GF4, GF8, GF16, GaloisField, gf
-from repro.gf.polynomial import Polynomial
 from repro.gf.tables import FieldTables, get_tables, supported_widths
 from repro.gf.vector import (
     as_field_buffer,
@@ -29,7 +27,6 @@ __all__ = [
     "GF8",
     "GF16",
     "gf",
-    "Polynomial",
     "FieldTables",
     "get_tables",
     "supported_widths",

@@ -12,14 +12,6 @@ from repro.recovery.baselines import (
 from repro.recovery.executor import ExecutionResult, PlanExecutor
 from repro.recovery.lrc import LrcLocalRecoveryStrategy, lrc_groups_for_placement
 from repro.recovery.metrics import TrafficReport, reduction_ratio, traffic_report
-from repro.recovery.replacement import (
-    LeastLoadedReplacementPolicy,
-    ReplacementPolicy,
-    SameNodeReplacementPolicy,
-    SameRackReplacementPolicy,
-    eligible_replacements,
-    with_replacement,
-)
 from repro.recovery.planner import (
     ComputeTask,
     RecoveryPlan,
@@ -76,12 +68,6 @@ __all__ = [
     "Transfer",
     "plan_recovery",
     "plan_recovery_streaming",
-    "ReplacementPolicy",
-    "SameNodeReplacementPolicy",
-    "SameRackReplacementPolicy",
-    "LeastLoadedReplacementPolicy",
-    "eligible_replacements",
-    "with_replacement",
     "CarSelector",
     "build_solution",
     "iter_valid_rack_sets",

@@ -7,6 +7,9 @@ parallel experiment driver can ship them to worker processes.
 """
 
 import pickle
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -97,6 +100,46 @@ class TestBoundedCache:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ConfigurationError):
             BoundedCache(maxsize=0)
+
+    def test_concurrent_access_under_eviction(self):
+        """Threads sharing a full cache never see a ``KeyError`` from an
+        eviction racing a lookup, and every lookup is counted once."""
+        cache = BoundedCache(maxsize=2)
+        threads, rounds = 4, 50_000
+        start = threading.Barrier(threads)
+        errors = []
+
+        def hammer(seed):
+            rng = random.Random(seed)
+            start.wait()
+            try:
+                for i in range(rounds):
+                    key = rng.randrange(3)
+                    if i % 3 == 0:
+                        cache.get(key)
+                    elif i % 3 == 1:
+                        cache.put(key, i)
+                    else:
+                        cache.get_or_build(key, lambda: i)
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=hammer, args=(t,)) for t in range(threads)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        lookups = threads * sum(1 for i in range(rounds) if i % 3 != 1)
+        assert cache.hits + cache.misses == lookups
 
 
 class TestCodePickling:

@@ -51,7 +51,6 @@ class TestRootExports:
         for pkg in (
             "repro.gf",
             "repro.erasure",
-            "repro.erasure.xorcodes",
             "repro.cluster",
             "repro.recovery",
             "repro.network",
@@ -59,7 +58,6 @@ class TestRootExports:
             "repro.workloads",
             "repro.analysis",
             "repro.experiments",
-            "repro.io",
             "repro.cli",
         ):
             importlib.import_module(pkg)
